@@ -1,18 +1,22 @@
 #include "compress/streaming.hpp"
 
-#include <stdexcept>
-
 #include "compress/rle.hpp"
 #include "compress/xmatch_detail.hpp"
 
 namespace uparc::compress {
 namespace {
 
+/// Consumed bytes a buffer keeps before it compacts (see `BitFeeder::commit`).
+constexpr std::size_t kCompactBytes = 256;
+
 /// Incremental bit reservoir: bytes arrive over time, bits are consumed
-/// MSB-first. Reads are transactional: `mark()` snapshots the position and
-/// `rollback()` restores it, so a decoder can abandon a half-read record
-/// when the reservoir underruns mid-record; `commit()` trims consumed bytes
-/// so memory stays bounded.
+/// MSB-first. A read past the end returns 0 and sets a sticky underrun flag,
+/// so a decoder reads a whole record, then checks `underrun()` once before
+/// it validates or uses any field. `mark()` snapshots the position and
+/// `rollback()` restores it (clearing the flag), which abandons a half-read
+/// record until more input arrives. `commit()` accepts the record and, once
+/// the consumed prefix outweighs the rest, drops it — the rest is at most a
+/// partial record plus one word, so compaction costs O(1) per input byte.
 class BitFeeder {
  public:
   void feed(u8 byte) { buf_.push_back(byte); }
@@ -20,38 +24,44 @@ class BitFeeder {
   [[nodiscard]] std::size_t bits_left() const noexcept {
     return buf_.size() * 8 - bit_pos_;
   }
+  [[nodiscard]] bool underrun() const noexcept { return underrun_; }
 
-  void mark() { mark_ = bit_pos_; }
-  void rollback() { bit_pos_ = mark_; }
+  void mark() noexcept { mark_ = bit_pos_; }
+  void rollback() noexcept {
+    bit_pos_ = mark_;
+    underrun_ = false;
+  }
   void commit() {
-    while (bit_pos_ >= 8) {
-      buf_.pop_front();
-      bit_pos_ -= 8;
+    const std::size_t dead = bit_pos_ / 8;
+    if (dead >= kCompactBytes && 2 * dead >= buf_.size()) {
+      buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(dead));
+      bit_pos_ -= 8 * dead;
     }
     mark_ = bit_pos_;
   }
 
   [[nodiscard]] bool get_bit() { return get(1) != 0; }
 
+  /// Reads `count` (<= 32) bits; 0 and a sticky underrun once short.
   [[nodiscard]] u32 get(unsigned count) {
-    if (count > bits_left()) throw std::out_of_range("BitFeeder underrun");
-    u32 out = 0;
-    while (count > 0) {
-      const unsigned avail = 8 - static_cast<unsigned>(bit_pos_ % 8);
-      const unsigned take = count < avail ? count : avail;
-      const u8 cur = buf_[bit_pos_ / 8];
-      const u32 piece = (static_cast<u32>(cur) >> (avail - take)) & ((1u << take) - 1u);
-      out = (out << take) | piece;
-      bit_pos_ += take;
-      count -= take;
+    if (underrun_ || count > bits_left()) {
+      underrun_ = true;
+      return 0;
     }
-    return out;
+    const std::size_t first = bit_pos_ / 8;
+    const unsigned skip = static_cast<unsigned>(bit_pos_ % 8);
+    const unsigned span = (skip + count + 7) / 8;  // bytes the field touches, <= 5
+    u64 acc = 0;
+    for (unsigned i = 0; i < span; ++i) acc = (acc << 8) | buf_[first + i];
+    bit_pos_ += count;
+    return static_cast<u32>((acc >> (8 * span - skip - count)) & ((u64{1} << count) - 1));
   }
 
  private:
-  std::deque<u8> buf_;
+  Bytes buf_;
   std::size_t bit_pos_ = 0;
   std::size_t mark_ = 0;
+  bool underrun_ = false;
 };
 
 /// Shared plumbing: container-header parsing, input word unpacking, output
@@ -61,26 +71,42 @@ class StreamingBase : public StreamingDecoder {
   explicit StreamingBase(CodecId expect) : expect_(expect) {}
 
   void push_word(u32 word) final {
-    if (input_closed_) throw std::logic_error("StreamingDecoder: input after stream end");
-    for (int b = 3; b >= 0; --b) on_input_byte(static_cast<u8>(word >> (8 * b)));
-    if (!errored_ && header_parsed_) decode_available();
+    if (errored_ || all_bytes_produced()) return;  // input past the end is ignored
+    for (int b = 3; b >= 0; --b) {
+      const u8 byte = static_cast<u8>(word >> (8 * b));
+      if (header_parsed_) {
+        bits_.feed(byte);
+      } else {
+        parse_header_byte(byte);
+        if (errored_) return;
+      }
+    }
+    if (header_parsed_) decode_available();
   }
 
   bool pop_word(u32& out) final {
     // A full word, or the padded tail once everything has been produced.
-    if (out_bytes_.size() < 4 && !(all_bytes_produced() && !out_bytes_.empty())) return false;
+    const std::size_t ready = out_bytes_.size() - out_head_;
+    if (ready < 4 && !(all_bytes_produced() && ready > 0)) return false;
     u8 b[4] = {0, 0, 0, 0};
-    for (int i = 0; i < 4 && !out_bytes_.empty(); ++i) {
-      b[i] = out_bytes_.front();
-      out_bytes_.pop_front();
+    const std::size_t take = ready < 4 ? ready : 4;
+    for (std::size_t i = 0; i < take; ++i) b[i] = out_bytes_[out_head_ + i];
+    out_head_ += take;
+    if (out_head_ == out_bytes_.size()) {
+      out_bytes_.clear();
+      out_head_ = 0;
+    } else if (out_head_ >= kCompactBytes && 2 * out_head_ >= out_bytes_.size()) {
+      out_bytes_.erase(out_bytes_.begin(),
+                       out_bytes_.begin() + static_cast<std::ptrdiff_t>(out_head_));
+      out_head_ = 0;
     }
-    out = (u32{b[0]} << 24) | (u32{b[1]} << 16) | (u32{b[2]} << 8) | u32{b[3]};
+    out = load_be32(b);
     ++produced_words_;
     return true;
   }
 
   [[nodiscard]] bool finished() const final {
-    return header_parsed_ && all_bytes_produced() && out_bytes_.empty();
+    return header_parsed_ && all_bytes_produced() && out_head_ == out_bytes_.size();
   }
   [[nodiscard]] std::size_t produced_words() const final { return produced_words_; }
   [[nodiscard]] std::size_t total_words() const final {
@@ -90,7 +116,7 @@ class StreamingBase : public StreamingDecoder {
   [[nodiscard]] const std::string& error_message() const final { return error_; }
 
  protected:
-  /// Decodes as much as the reservoir allows; implemented per codec.
+  /// Decodes every record that has fully arrived; implemented per codec.
   virtual void decode_available() = 0;
 
   void fail(std::string why) {
@@ -108,43 +134,45 @@ class StreamingBase : public StreamingDecoder {
     }
   }
 
+  /// Emits a big-endian word (one X-MatchPRO tuple).
+  void emit_word(u32 w) {
+    if (produced_bytes_ + 4 <= original_size_) {
+      u8 b[4];
+      store_be32(b, w);
+      out_bytes_.insert(out_bytes_.end(), b, b + 4);
+      produced_bytes_ += 4;
+      return;
+    }
+    for (int b = 3; b >= 0; --b) emit_byte(static_cast<u8>(w >> (8 * b)));
+  }
+
   [[nodiscard]] bool all_bytes_produced() const {
     return header_parsed_ && produced_bytes_ >= original_size_;
-  }
-  [[nodiscard]] std::size_t original_size() const noexcept { return original_size_; }
-  [[nodiscard]] std::size_t produced_bytes() const noexcept {
-    return produced_bytes_ < original_size_ ? produced_bytes_ : original_size_;
   }
 
   BitFeeder bits_;
 
  private:
-  void on_input_byte(u8 byte) {
-    if (errored_) return;
-    if (!header_parsed_) {
-      header_buf_.push_back(byte);
-      if (header_buf_.size() == wire::kHeaderBytes) {
-        auto un = wire::unwrap(expect_, header_buf_);
-        if (!un.ok()) {
-          fail(un.error().message);
-          return;
-        }
-        original_size_ = un.value().original_size;
-        header_parsed_ = true;
-      }
+  void parse_header_byte(u8 byte) {
+    header_buf_.push_back(byte);
+    if (header_buf_.size() < wire::kHeaderBytes) return;
+    auto un = wire::unwrap(expect_, header_buf_);
+    if (!un.ok()) {
+      fail(un.error().message);
       return;
     }
-    bits_.feed(byte);
+    original_size_ = un.value().original_size;
+    header_parsed_ = true;
   }
 
   CodecId expect_;
   Bytes header_buf_;
   bool header_parsed_ = false;
-  bool input_closed_ = false;
   std::size_t original_size_ = 0;
   std::size_t produced_bytes_ = 0;
   std::size_t produced_words_ = 0;
-  std::deque<u8> out_bytes_;
+  Bytes out_bytes_;       // decoded, not yet popped: [out_head_, size())
+  std::size_t out_head_ = 0;
   bool errored_ = false;
   std::string error_;
 };
@@ -201,63 +229,58 @@ class XMatchStreamDecoder final : public StreamingBase {
 
  protected:
   void decode_available() override {
-    // Records are self-delimiting but variable-length; decode records
-    // transactionally until the reservoir underruns mid-record (rollback)
-    // or all output is owed.
+    // Records are self-delimiting but variable-length: decode until one has
+    // only partly arrived (roll back to its start and wait for more input),
+    // the stream errs, or all output is owed.
     while (!all_bytes_produced() && bits_.bits_left() >= 2 && !errored()) {
       bits_.mark();
-      try {
-        decode_record();
-        bits_.commit();
-      } catch (const std::out_of_range&) {
-        bits_.rollback();  // half a record: wait for more input
+      if (!decode_record()) {
+        bits_.rollback();
         return;
       }
+      bits_.commit();
     }
   }
 
  private:
-  void emit_tuple(const xm::Tuple& t) {
-    for (int b = 0; b < 4; ++b) emit_byte(t[b]);
-  }
-
-  // Reads every field before any side effect, so a mid-record underrun
-  // (thrown by the BitFeeder) leaves the dictionary and output untouched
-  // and the caller can roll the bit position back.
-  void decode_record() {
-    if (bits_.get_bit()) {  // miss
-      xm::Tuple t;
-      for (int b = 0; b < 4; ++b) t[b] = static_cast<u8>(bits_.get(8));
-      emit_tuple(t);
+  // Reads every field of one record before any side effect. Returns false,
+  // with the dictionary and output untouched, when the record has not fully
+  // arrived. The underrun check precedes validation: a short read returns 0,
+  // which must not be mistaken for a zero-length run or a bad location.
+  bool decode_record() {
+    if (bits_.get_bit()) {  // miss: 4 literal bytes
+      const xm::Tuple t = bits_.get(32);
+      if (bits_.underrun()) return false;
+      emit_word(t);
       dict_.insert(t);
-      return;
+      return true;
     }
     if (bits_.get_bit()) {  // RLI zero run
       const u32 run = bits_.get(xm::kRliBits);
+      if (bits_.underrun()) return false;
       if (run == 0) {
         fail("X-MatchPRO stream: zero-length RLI run");
-        return;
+        return true;
       }
-      for (u32 r = 0; r < run; ++r) emit_tuple(xm::Tuple{0, 0, 0, 0});
-      return;
+      for (u32 r = 0; r < run; ++r) emit_word(0);
+      return true;
     }
     const u32 loc = xm::get_phased(bits_, static_cast<u32>(dict_.size()));
+    if (bits_.underrun()) return false;
     if (loc >= dict_.size()) {
       fail("X-MatchPRO stream: location out of range");
-      return;
+      return true;
     }
-    const int type = xm::get_type(bits_);
-    const u8 mask = xm::kMatchMasks[static_cast<std::size_t>(type)];
-    xm::Tuple t = dict_.at(loc);
-    for (int b = 0; b < 4; ++b) {
-      if (!(mask & (1u << (3 - b)))) t[b] = static_cast<u8>(bits_.get(8));
-    }
-    emit_tuple(t);
+    const u8 mask = xm::kMatchMasks[static_cast<std::size_t>(xm::get_type(bits_))];
+    const xm::Tuple t = xm::get_unmatched(bits_, dict_.at(loc), mask);
+    if (bits_.underrun()) return false;
+    emit_word(t);
     if (mask == 0b1111) {
       dict_.promote(loc);
     } else {
       dict_.insert(t);
     }
+    return true;
   }
 
   xm::Dictionary dict_;

@@ -10,9 +10,13 @@
 // Input convention: the words UReC reads from the BRAM — the compressed
 // container (wire header included) packed big-endian, zero-padded to a
 // whole word.
+//
+// Availability: a push decodes every record whose last bit it delivers, so
+// each output word becomes poppable at the push that completes its record
+// (or, for the padded tail word, the push that completes the output). A
+// record that has only partly arrived is held back without side effects.
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "compress/codec.hpp"
@@ -23,8 +27,10 @@ class StreamingDecoder {
  public:
   virtual ~StreamingDecoder() = default;
 
-  /// Feeds one input word. Throws std::logic_error if fed beyond the
-  /// container's declared end.
+  /// Feeds one input word. Words pushed once all declared output has been
+  /// produced, or after an error, are ignored: the wire header stores the
+  /// decoded size but no payload length, so the container's end cannot be
+  /// told apart from the BRAM's zero padding.
   virtual void push_word(u32 word) = 0;
 
   /// Pops one decoded output word; returns false when none is ready yet.

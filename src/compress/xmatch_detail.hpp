@@ -6,13 +6,16 @@
 
 #include <array>
 #include <bit>
-#include <stdexcept>
 #include <vector>
 
 #include "common/bitio.hpp"
 #include "common/types.hpp"
 
 namespace uparc::compress::xm {
+
+// A 4-byte tuple packed big-endian (`load_be32`): tuple byte 0 is the most
+// significant, so match-mask bit i covers bits [8i, 8i + 8).
+using Tuple = u32;
 
 // Match-type masks: bit 3 = most significant byte matched ... bit 0 = least.
 // Full match plus the four 3-of-4 partials (see xmatchpro.cpp for why the
@@ -46,6 +49,23 @@ template <typename BitSource>
   return static_cast<int>(br.get(2)) + 1;
 }
 
+// Literal bytes of a match: the bytes of `t` that `mask` does not cover,
+// most significant first.
+inline void put_unmatched(BitWriter& bw, Tuple t, u8 mask) {
+  for (int b = 3; b >= 0; --b) {
+    if (!(mask & (1u << b))) bw.put((t >> (8 * b)) & 0xFFu, 8);
+  }
+}
+
+/// Returns dictionary entry `t` with its unmatched bytes read from `br`.
+template <typename BitSource>
+[[nodiscard]] Tuple get_unmatched(BitSource& br, Tuple t, u8 mask) {
+  for (int b = 3; b >= 0; --b) {
+    if (!(mask & (1u << b))) t = (t & ~(0xFFu << (8 * b))) | (br.get(8) << (8 * b));
+  }
+  return t;
+}
+
 // Phased binary (economy) code for values in [0, size).
 inline void put_phased(BitWriter& bw, u32 value, u32 size) {
   if (size <= 1) return;  // single possibility: zero bits
@@ -69,10 +89,14 @@ template <typename BitSource>
   return v - threshold;
 }
 
-using Tuple = std::array<u8, 4>;
-
-[[nodiscard]] inline bool is_zero(const Tuple& t) {
-  return t[0] == 0 && t[1] == 0 && t[2] == 0 && t[3] == 0;
+/// Match mask of `a` against `b`: bit i set when byte i (from the least
+/// significant) is equal. The XOR is zero in every equal byte; the exact
+/// zero-byte test puts 0x80 in each such byte, and the multiply gathers
+/// those four bits into the top nibble without carries.
+[[nodiscard]] inline u8 match_mask(Tuple a, Tuple b) {
+  const u32 x = a ^ b;
+  const u32 zero = ~(((x & 0x7F7F7F7Fu) + 0x7F7F7F7Fu) | x | 0x7F7F7F7Fu);
+  return static_cast<u8>(((zero >> 7) * 0x10204080u) >> 28);
 }
 
 /// Move-to-front dictionary shared by encoder and decoder.
@@ -81,16 +105,16 @@ class Dictionary {
   explicit Dictionary(std::size_t capacity) : capacity_(capacity) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] const Tuple& at(std::size_t i) const { return entries_[i]; }
+  [[nodiscard]] Tuple at(std::size_t i) const { return entries_[i]; }
 
   /// Full match: move entry to front.
   void promote(std::size_t i) {
-    Tuple t = entries_[i];
+    const Tuple t = entries_[i];
     entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
     entries_.insert(entries_.begin(), t);
   }
   /// Partial match or miss: insert the new tuple at the front.
-  void insert(const Tuple& t) {
+  void insert(Tuple t) {
     entries_.insert(entries_.begin(), t);
     if (entries_.size() > capacity_) entries_.pop_back();
   }

@@ -1,5 +1,6 @@
 #include "compress/xmatchpro.hpp"
 
+#include <bit>
 #include <stdexcept>
 #include <vector>
 
@@ -18,24 +19,18 @@ XMatchProCodec::XMatchProCodec(std::size_t dict_entries) : dict_entries_(dict_en
 
 Bytes XMatchProCodec::compress(BytesView input) const {
   // Tuple-align by padding; the container header preserves the true size.
-  std::vector<Tuple> tuples;
-  tuples.reserve(input.size() / 4 + 1);
-  for (std::size_t i = 0; i < input.size(); i += 4) {
-    Tuple t{0, 0, 0, 0};
-    for (std::size_t j = 0; j < 4 && i + j < input.size(); ++j) t[j] = input[i + j];
-    tuples.push_back(t);
-  }
+  const Words tuples = bytes_to_words(input);
 
   BitWriter bw;
   Dictionary dict(dict_entries_);
   std::size_t i = 0;
   while (i < tuples.size()) {
-    const Tuple& t = tuples[i];
+    const Tuple t = tuples[i];
 
     // RLI: fold runs of all-zero tuples.
-    if (xm::is_zero(t)) {
+    if (t == 0) {
       std::size_t run = 1;
-      while (i + run < tuples.size() && run < xm::kMaxZeroRun && xm::is_zero(tuples[i + run])) {
+      while (i + run < tuples.size() && run < xm::kMaxZeroRun && tuples[i + run] == 0) {
         ++run;
       }
       bw.put_bit(false);  // match path
@@ -50,15 +45,8 @@ Bytes XMatchProCodec::compress(BytesView input) const {
     int best_bits = -1;
     u8 best_mask = 0;
     for (std::size_t loc = 0; loc < dict.size(); ++loc) {
-      const Tuple& e = dict.at(loc);
-      u8 mask = 0;
-      int match_count = 0;
-      for (int b = 0; b < 4; ++b) {
-        if (e[b] == t[b]) {
-          mask |= static_cast<u8>(1u << (3 - b));
-          ++match_count;
-        }
-      }
+      const u8 mask = xm::match_mask(dict.at(loc), t);
+      const int match_count = std::popcount(mask);
       if (match_count >= 3 && match_count > best_bits) {
         best_bits = match_count;
         best_loc = static_cast<int>(loc);
@@ -72,9 +60,7 @@ Bytes XMatchProCodec::compress(BytesView input) const {
       bw.put_bit(false);  // not RLI
       xm::put_phased(bw, static_cast<u32>(best_loc), static_cast<u32>(dict.size()));
       xm::put_type(bw, xm::mask_index(best_mask));
-      for (int b = 0; b < 4; ++b) {
-        if (!(best_mask & (1u << (3 - b)))) bw.put(t[b], 8);
-      }
+      xm::put_unmatched(bw, t, best_mask);
       if (best_mask == 0b1111) {
         dict.promote(static_cast<std::size_t>(best_loc));
       } else {
@@ -82,7 +68,7 @@ Bytes XMatchProCodec::compress(BytesView input) const {
       }
     } else {
       bw.put_bit(true);  // miss: 4 literal bytes
-      for (int b = 0; b < 4; ++b) bw.put(t[b], 8);
+      bw.put(t, 32);
       dict.insert(t);
     }
     ++i;
@@ -100,15 +86,14 @@ Result<Bytes> XMatchProCodec::decompress(BytesView input) const {
   Dictionary dict(dict_entries_);
   BitReader br(payload);
 
-  auto emit = [&](const Tuple& t) {
-    for (int b = 0; b < 4; ++b) out.push_back(t[b]);
+  auto emit = [&](Tuple t) {
+    for (int b = 3; b >= 0; --b) out.push_back(static_cast<u8>(t >> (8 * b)));
   };
 
   try {
     while (out.size() < original) {
       if (br.get_bit()) {  // miss
-        Tuple t;
-        for (int b = 0; b < 4; ++b) t[b] = static_cast<u8>(br.get(8));
+        const Tuple t = br.get(32);
         emit(t);
         dict.insert(t);
         continue;
@@ -116,17 +101,14 @@ Result<Bytes> XMatchProCodec::decompress(BytesView input) const {
       if (br.get_bit()) {  // RLI zero run
         const u32 run = br.get(xm::kRliBits);
         if (run == 0) return make_error("X-MatchPRO: zero-length RLI run");
-        for (u32 r = 0; r < run; ++r) emit(Tuple{0, 0, 0, 0});
+        for (u32 r = 0; r < run; ++r) emit(0);
         continue;
       }
       const u32 loc = xm::get_phased(br, static_cast<u32>(dict.size()));
       if (loc >= dict.size()) return make_error("X-MatchPRO: location out of range");
       const int type = xm::get_type(br);
       const u8 mask = xm::kMatchMasks[static_cast<std::size_t>(type)];
-      Tuple t = dict.at(loc);
-      for (int b = 0; b < 4; ++b) {
-        if (!(mask & (1u << (3 - b)))) t[b] = static_cast<u8>(br.get(8));
-      }
+      const Tuple t = xm::get_unmatched(br, dict.at(loc), mask);
       emit(t);
       if (mask == 0b1111) {
         dict.promote(loc);

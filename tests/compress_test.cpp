@@ -11,6 +11,7 @@
 #include "compress/registry.hpp"
 #include "compress/rle.hpp"
 #include "compress/stats.hpp"
+#include "compress/xmatch_detail.hpp"
 #include "compress/xmatchpro.hpp"
 
 namespace uparc::compress {
@@ -219,6 +220,26 @@ TEST(XMatch, UnalignedTailPreserved) {
   expect_roundtrip(x, ascii("abcde"));       // 5 bytes: one tuple + 1
   expect_roundtrip(x, ascii("ab"));          // sub-tuple input
   expect_roundtrip(x, {});
+}
+
+TEST(XMatch, PackedMatchMaskAgreesWithBytewiseCompare) {
+  Prng rng(21);
+  for (int trial = 0; trial < 20000; ++trial) {
+    u8 a[4];
+    u8 b[4];
+    for (int i = 0; i < 4; ++i) {
+      a[i] = rng.byte();
+      // Equal bytes, near misses (one bit apart, 0x00 vs 0x80) and noise.
+      const u64 pick = rng.below(4);
+      b[i] = pick == 0 ? a[i] : pick == 1 ? static_cast<u8>(a[i] ^ (1u << rng.below(8)))
+                                          : pick == 2 ? static_cast<u8>(a[i] ^ 0x80) : rng.byte();
+    }
+    u8 expected = 0;
+    for (int i = 0; i < 4; ++i) {
+      if (a[i] == b[i]) expected |= static_cast<u8>(1u << (3 - i));
+    }
+    ASSERT_EQ(xm::match_mask(load_be32(a), load_be32(b)), expected) << "trial " << trial;
+  }
 }
 
 TEST(XMatch, DictionaryDepthValidated) {
