@@ -20,23 +20,11 @@ std::string_view to_string(CacheTier tier) {
   return "?";
 }
 
-namespace {
-
-// Fold the per-frame data CRCs (address-independent) into one word so the
-// key survives relocation. GoldenSignature already computes exactly the
-// per-frame CRC32s the readback scrubber verifies against.
-u32 content_fold(const bits::PartialBitstream& bs) {
-  scrub::GoldenSignature sig(bs.frames);
-  Crc32 fold;
-  for (const auto& addr : sig.addresses()) {
-    if (const u32* crc = sig.expected_crc(addr)) fold.update_word(*crc);
-  }
-  return fold.value();
+CacheKey key_of(const bits::PartialBitstream& bs) {
+  return key_of(bs, scrub::GoldenSignature(bs.frames));
 }
 
-}  // namespace
-
-CacheKey key_of(const bits::PartialBitstream& bs) {
+CacheKey key_of(const bits::PartialBitstream& bs, const scrub::GoldenSignature& sig) {
   CacheKey key;
   if (bs.frames.empty()) {
     // No ground truth: exact-content entry, never relocated.
@@ -44,14 +32,19 @@ CacheKey key_of(const bits::PartialBitstream& bs) {
     key.origin_far = 0xFFFFFFFFu;
     return key;
   }
-  key.content_crc = content_fold(bs);
+  // Fold the per-frame data CRCs (address-independent) into one word so the
+  // key survives relocation — the same CRCs the readback scrubber verifies.
+  Crc32 fold;
+  for (const u32 crc : sig.crcs()) fold.update_word(crc);
+  key.content_crc = fold.value();
   key.frame_count = static_cast<u32>(bs.frames.size());
   key.origin_far = 0;  // relocatable: address excluded from identity
   return key;
 }
 
-CacheKey key_of_compressed(const bits::PartialBitstream& bs, u8 codec_id) {
-  CacheKey key = key_of(bs);
+CacheKey key_of_compressed(const CacheKey& raw_key, const bits::PartialBitstream& bs,
+                           u8 codec_id) {
+  CacheKey key = raw_key;
   key.kind = static_cast<u8>(1 + codec_id);
   // The container embeds the FAR, so the entry is pinned to this origin.
   key.origin_far = bs.frames.empty() ? key.origin_far : bs.frames.front().address.pack();

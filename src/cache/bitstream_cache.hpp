@@ -37,6 +37,10 @@
 #include "sched/energy_policy.hpp"
 #include "sim/module.hpp"
 
+namespace uparc::scrub {
+class GoldenSignature;
+}  // namespace uparc::scrub
+
 namespace uparc::cache {
 
 /// Where a stage request was served from.
@@ -68,9 +72,15 @@ struct CacheKey {
 /// Key for a raw (uncompressed) image. Relocatable when ground-truth
 /// frames are present; otherwise an exact-content entry.
 [[nodiscard]] CacheKey key_of(const bits::PartialBitstream& bs);
+/// key_of(bs) from `sig`, a signature already built from `bs.frames`: the
+/// frames are not CRC'd again.
+[[nodiscard]] CacheKey key_of(const bits::PartialBitstream& bs,
+                              const scrub::GoldenSignature& sig);
 /// Key for the compressed container of `bs` under `codec_id` (the raw
-/// codec-id byte). Pinned to the image's origin FAR.
-[[nodiscard]] CacheKey key_of_compressed(const bits::PartialBitstream& bs, u8 codec_id);
+/// codec-id byte), from its raw key `raw_key` == key_of(bs). Pinned to the
+/// image's origin FAR.
+[[nodiscard]] CacheKey key_of_compressed(const CacheKey& raw_key,
+                                         const bits::PartialBitstream& bs, u8 codec_id);
 
 /// Per-entry bookkeeping handed to eviction policies.
 struct EntryMeta {

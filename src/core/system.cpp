@@ -82,7 +82,8 @@ manager::RecoveryOutcome System::run_recovery_blocking(const bits::PartialBitstr
   }
   recovery_->policy() = policy;
   std::optional<manager::RecoveryOutcome> outcome;
-  recovery_->run(bs, [&](const manager::RecoveryOutcome& o) { outcome = o; });
+  recovery_->run(bs, cache::key_of(bs),
+                 [&](const manager::RecoveryOutcome& o) { outcome = o; });
   sim_.run();
   if (!outcome) {
     // Cannot happen while the watchdog is armed, but fail closed anyway.

@@ -72,7 +72,11 @@ void Uparc::set_cache(cache::BitstreamCache* cache) {
 }
 
 Status Uparc::stage(const bits::PartialBitstream& bs) {
-  return stage_internal(bs, /*speculative=*/false);
+  return stage_internal(bs, /*speculative=*/false, nullptr);
+}
+
+Status Uparc::stage(const bits::PartialBitstream& bs, const cache::CacheKey& raw_key) {
+  return stage_internal(bs, /*speculative=*/false, &raw_key);
 }
 
 Status Uparc::stage_speculative(const bits::PartialBitstream& bs) {
@@ -86,10 +90,11 @@ Status Uparc::stage_speculative(const bits::PartialBitstream& bs) {
     return make_error("UPaRC: speculative stage while demand work is in flight",
                       ErrorCause::kBusy);
   }
-  return stage_internal(bs, /*speculative=*/true);
+  return stage_internal(bs, /*speculative=*/true, nullptr);
 }
 
-Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative) {
+Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative,
+                             const cache::CacheKey* raw_key) {
   if (urec_.busy()) {
     return make_error("UPaRC: stage while a reconfiguration is in flight",
                       ErrorCause::kBusy);
@@ -128,8 +133,8 @@ Status Uparc::stage_internal(const bits::PartialBitstream& bs, bool speculative)
   // --- cache and prefetch bookkeeping --------------------------------------
   std::optional<cache::CacheKey> key;
   if (cache_ != nullptr) {
-    key = raw_fits ? cache::key_of(bs)
-                   : cache::key_of_compressed(bs, static_cast<u8>(codec_id_));
+    const cache::CacheKey raw = raw_key != nullptr ? *raw_key : cache::key_of(bs);
+    key = raw_fits ? raw : cache::key_of_compressed(raw, bs, static_cast<u8>(codec_id_));
     if (!speculative) {
       if (!staging_done_ && staged_payload_bytes_ != 0 && inflight_spec_) {
         // A demand load lands while a speculative copy is still in the DMA:
@@ -432,31 +437,31 @@ void Uparc::reconfigure(ctrl::ReconfigCallback done) {
       });
 }
 
-void Uparc::cache_promote(const bits::PartialBitstream& bs) {
+void Uparc::cache_promote(const bits::PartialBitstream& bs, const cache::CacheKey& raw_key) {
   if (cache_ == nullptr) return;
   const std::size_t raw_needed = (1 + bs.body.size()) * 4;
   if (raw_needed <= bram_.size_bytes()) {
-    const cache::CacheKey key = cache::key_of(bs);
-    if (!cache_->contains(key)) {
+    if (!cache_->contains(raw_key)) {
       // A committed image is known good — cache it even if the original
       // stage predated the cache attachment.
-      cache_->admit(key, bs.body, bs.body.size() * 4,
+      cache_->admit(raw_key, bs.body, bs.body.size() * 4,
                     bs.frames.empty() ? bits::FrameAddress{} : bs.frames.front().address,
                     /*relocatable=*/!bs.frames.empty());
     }
-    cache_->promote(key);
+    cache_->promote(raw_key);
   } else {
-    cache_->promote(cache::key_of_compressed(bs, static_cast<u8>(codec_id_)));
+    cache_->promote(cache::key_of_compressed(raw_key, bs, static_cast<u8>(codec_id_)));
   }
 }
 
-void Uparc::cache_invalidate(const bits::PartialBitstream& bs) {
+void Uparc::cache_invalidate(const bits::PartialBitstream& bs,
+                             const cache::CacheKey& raw_key) {
   if (cache_ == nullptr) return;
-  const cache::CacheKey raw = cache::key_of(bs);
-  const cache::CacheKey comp = cache::key_of_compressed(bs, static_cast<u8>(codec_id_));
-  cache_->invalidate(raw);
+  const cache::CacheKey comp =
+      cache::key_of_compressed(raw_key, bs, static_cast<u8>(codec_id_));
+  cache_->invalidate(raw_key);
   cache_->invalidate(comp);
-  if (resident_ && (*resident_ == raw || *resident_ == comp)) {
+  if (resident_ && (*resident_ == raw_key || *resident_ == comp)) {
     resident_.reset();
     resident_spec_ = false;
   }

@@ -61,6 +61,10 @@ class Uparc final : public ctrl::ReconfigController {
   /// BRAM, compressed (offline, with the configured codec) otherwise —
   /// exactly the paper's two operating modes.
   [[nodiscard]] Status stage(const bits::PartialBitstream& bs) override;
+  /// stage() with the caller's `raw_key`, which must equal
+  /// cache::key_of(bs): a transaction that already keyed its image is not
+  /// re-keyed here.
+  [[nodiscard]] Status stage(const bits::PartialBitstream& bs, const cache::CacheKey& raw_key);
   void reconfigure(ctrl::ReconfigCallback done) override;
 
   // ----- Bitstream cache ----------------------------------------------------
@@ -86,8 +90,9 @@ class Uparc final : public ctrl::ReconfigController {
   /// image (admitting it first if needed), rollback purges every key that
   /// could serve it — raw and current-codec compressed — and drops the
   /// resident tag so a poisoned staging window is never trusted.
-  void cache_promote(const bits::PartialBitstream& bs);
-  void cache_invalidate(const bits::PartialBitstream& bs);
+  /// `raw_key` must equal cache::key_of(bs).
+  void cache_promote(const bits::PartialBitstream& bs, const cache::CacheKey& raw_key);
+  void cache_invalidate(const bits::PartialBitstream& bs, const cache::CacheKey& raw_key);
 
   [[nodiscard]] u64 prefetch_hits() const noexcept { return prefetch_hits_; }
   [[nodiscard]] u64 prefetch_mispredicts() const noexcept { return prefetch_mispredicts_; }
@@ -133,7 +138,9 @@ class Uparc final : public ctrl::ReconfigController {
  private:
   void bind_power(power::Rail* rail);
   void on_staged();
-  [[nodiscard]] Status stage_internal(const bits::PartialBitstream& bs, bool speculative);
+  /// `raw_key` null: keyed here, and only if a cache is attached.
+  [[nodiscard]] Status stage_internal(const bits::PartialBitstream& bs, bool speculative,
+                                      const cache::CacheKey* raw_key);
 
   UparcConfig config_;
   icap::Icap& port_;

@@ -11,7 +11,8 @@ void ConfigPlane::write_frame(const bits::FrameAddress& addr, WordsView data) {
   if (data.size() != device_.frame_words) {
     throw std::invalid_argument("ConfigPlane: frame size mismatch");
   }
-  store_[addr.linear_index()] = Words(data.begin(), data.end());
+  // Assign in place: a rewritten frame reuses its stored capacity.
+  store_[addr.linear_index()].assign(data.begin(), data.end());
   ++writes_;
 }
 

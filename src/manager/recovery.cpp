@@ -11,11 +11,12 @@ RecoveryManager::RecoveryManager(sim::Simulation& sim, std::string name, core::U
                                  power::Rail* rail, RecoveryPolicy policy)
     : Module(sim, std::move(name)), uparc_(uparc), rail_(rail), policy_(policy) {}
 
-void RecoveryManager::run(const bits::PartialBitstream& bs,
+void RecoveryManager::run(const bits::PartialBitstream& bs, const cache::CacheKey& raw_key,
                           std::function<void(const RecoveryOutcome&)> done) {
   if (busy_) throw std::logic_error("RecoveryManager: run while busy: " + name());
   busy_ = true;
   payload_ = bs;
+  payload_key_ = raw_key;
   done_ = std::move(done);
   outcome_ = RecoveryOutcome{};
   outcome_.start = sim_.now();
@@ -27,7 +28,7 @@ void RecoveryManager::run(const bits::PartialBitstream& bs,
     tr->arg(run_span_, "payload_bytes", static_cast<double>(payload_.body.size() * 4));
   }
 
-  Status st = uparc_.stage(payload_);
+  Status st = uparc_.stage(payload_, payload_key_);
   if (!st.ok()) {
     ctrl::ReconfigResult r;
     r.error = st.error().message;
@@ -63,7 +64,7 @@ void RecoveryManager::begin_attempt() {
 }
 
 void RecoveryManager::restage_then_attempt() {
-  Status st = uparc_.stage(payload_);
+  Status st = uparc_.stage(payload_, payload_key_);
   if (!st.ok()) {
     ctrl::ReconfigResult r;
     r.error = "recovery re-stage failed: " + st.error().message;

@@ -110,8 +110,9 @@ class RecoveryManager : public sim::Module {
 
   /// Stages `bs` and reconfigures under the watchdog with bounded retries.
   /// `done` receives the outcome when the sequence ends (success or
-  /// give-up). Throws if a sequence is already in flight.
-  void run(const bits::PartialBitstream& bs,
+  /// give-up). Throws if a sequence is already in flight. `raw_key` must
+  /// equal cache::key_of(bs); every (re)stage reuses it.
+  void run(const bits::PartialBitstream& bs, const cache::CacheKey& raw_key,
            std::function<void(const RecoveryOutcome&)> done);
 
   [[nodiscard]] bool busy() const noexcept { return busy_; }
@@ -137,6 +138,7 @@ class RecoveryManager : public sim::Module {
   RecoveryPolicy policy_;
 
   bits::PartialBitstream payload_;
+  cache::CacheKey payload_key_;
   std::function<void(const RecoveryOutcome&)> done_;
   RecoveryOutcome outcome_;
   Frequency attempt_freq_;

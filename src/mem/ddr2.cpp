@@ -7,11 +7,13 @@ namespace uparc::mem {
 
 Ddr2::Ddr2(sim::Simulation& sim, std::string name, std::size_t size_bytes, Ddr2Timing timing,
            Frequency rated_fmax)
-    : Module(sim, std::move(name)), timing_(timing), rated_fmax_(rated_fmax) {
+    : Module(sim, std::move(name)),
+      size_words_(size_bytes / 4),
+      timing_(timing),
+      rated_fmax_(rated_fmax) {
   if (size_bytes == 0 || size_bytes % 4 != 0) {
     throw std::invalid_argument("Ddr2 size must be a positive multiple of 4 bytes");
   }
-  words_.assign(size_bytes / 4, 0);
 }
 
 void Ddr2::load(BytesView data, std::size_t word_offset) {
@@ -19,16 +21,19 @@ void Ddr2::load(BytesView data, std::size_t word_offset) {
 }
 
 void Ddr2::load_words(WordsView data, std::size_t word_offset) {
-  if (word_offset + data.size() > words_.size()) {
+  if (word_offset + data.size() > size_words_) {
     throw std::out_of_range("Ddr2 load overflows memory: " + name());
   }
+  if (word_offset + data.size() > words_.size()) words_.resize(word_offset + data.size(), 0);
   std::copy(data.begin(), data.end(), words_.begin() + static_cast<std::ptrdiff_t>(word_offset));
 }
 
 unsigned Ddr2::read_burst(std::size_t word_addr, std::size_t count, Words& out) {
-  if (word_addr + count > words_.size()) {
+  if (word_addr + count > size_words_) {
     throw std::out_of_range("Ddr2 read out of range: " + name());
   }
+  // Never-loaded words read as zero: grow the stored prefix over them.
+  if (word_addr + count > words_.size()) words_.resize(word_addr + count, 0);
   unsigned cycles = 0;
   if (stall_tap_) {
     const unsigned stall = stall_tap_();

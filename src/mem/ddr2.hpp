@@ -28,8 +28,8 @@ class Ddr2 : public sim::Module {
   Ddr2(sim::Simulation& sim, std::string name, std::size_t size_bytes,
        Ddr2Timing timing = {}, Frequency rated_fmax = Frequency::mhz(120));
 
-  [[nodiscard]] std::size_t size_bytes() const noexcept { return words_.size() * 4; }
-  [[nodiscard]] std::size_t size_words() const noexcept { return words_.size(); }
+  [[nodiscard]] std::size_t size_bytes() const noexcept { return size_words_ * 4; }
+  [[nodiscard]] std::size_t size_words() const noexcept { return size_words_; }
   [[nodiscard]] Frequency rated_fmax() const noexcept { return rated_fmax_; }
   [[nodiscard]] const Ddr2Timing& timing() const noexcept { return timing_; }
 
@@ -62,6 +62,9 @@ class Ddr2 : public sim::Module {
   [[nodiscard]] u64 row_misses() const noexcept { return row_misses_; }
 
  private:
+  std::size_t size_words_;
+  // Storage up to the highest word ever loaded or read; words past its end
+  // are zero, so an 8 MB tier that holds a few modules costs only their size.
   Words words_;
   ReadTap read_tap_;
   StallTap stall_tap_;

@@ -1,5 +1,7 @@
 #include "region/module_library.hpp"
 
+#include <algorithm>
+
 #include "bitstream/parser.hpp"
 #include "bitstream/writer.hpp"
 
@@ -54,16 +56,28 @@ Result<bits::PartialBitstream> ModuleLibrary::original(const std::string& name) 
 Result<bits::PartialBitstream> ModuleLibrary::instantiate(const std::string& name,
                                                           const Floorplan& floorplan,
                                                           const Region& target) const {
-  auto bs = original(name);
-  if (!bs.ok()) return bs.error();
+  auto it = images_.find(name);
+  if (it == images_.end()) return make_error("unknown module: " + name);
+  auto& instances = it->second.instances;
+  const bits::FrameAddress origin = target.geometry.origin;
 
-  auto relocated = bits::relocate(bs.value(), target.geometry.origin);
-  if (!relocated.ok()) return relocated.error();
+  auto hit = std::find_if(instances.begin(), instances.end(),
+                          [&](const auto& entry) { return entry.first == origin; });
+  if (hit != instances.end()) {
+    ++memo_stats_.hits;
+  } else {
+    ++memo_stats_.misses;
+    auto bs = original(name);
+    if (!bs.ok()) return bs.error();
+    auto relocated = bits::relocate(bs.value(), origin);
+    if (!relocated.ok()) return relocated.error();
+    hit = instances.emplace(instances.end(), origin, std::move(relocated).value());
+  }
 
-  if (Status fits = floorplan.check_fits(target, relocated.value()); !fits.ok()) {
+  if (Status fits = floorplan.check_fits(target, hit->second); !fits.ok()) {
     return fits.error();
   }
-  return relocated;
+  return hit->second;
 }
 
 }  // namespace uparc::region

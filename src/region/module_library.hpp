@@ -26,7 +26,9 @@ class ModuleLibrary {
   [[nodiscard]] std::size_t stored_bytes() const;
 
   /// Decompresses and relocates a module for `target`; result starts at the
-  /// region origin and is validated against the region window.
+  /// region origin and is validated against the region window. The relocated
+  /// image is memoized per (module, target origin): a repeat only re-checks
+  /// the fit and copies it out, so callers may edit what they get back.
   [[nodiscard]] Result<bits::PartialBitstream> instantiate(const std::string& name,
                                                            const Floorplan& floorplan,
                                                            const Region& target) const;
@@ -34,14 +36,28 @@ class ModuleLibrary {
   /// Decompresses the module at its original (compile-time) location.
   [[nodiscard]] Result<bits::PartialBitstream> original(const std::string& name) const;
 
+  /// instantiate() calls of known modules served from the memo (hits) or
+  /// decoded and relocated afresh (misses, failed relocations included).
+  struct MemoStats {
+    u64 hits = 0;
+    u64 misses = 0;
+  };
+  [[nodiscard]] MemoStats memo_stats() const noexcept { return memo_stats_; }
+
  private:
   struct StoredImage {
     Bytes compressed_file;      // .bit container, codec-compressed
     std::size_t original_bytes; // uncompressed file size
+    // Relocated instances, one per origin instantiated so far. A stored
+    // image never changes (add_module refuses duplicates), so entries never
+    // go stale; a remove/replace API would have to drop them. Not
+    // thread-safe: a library belongs to one device and its shard.
+    mutable std::vector<std::pair<bits::FrameAddress, bits::PartialBitstream>> instances;
   };
 
   std::unique_ptr<compress::Codec> codec_;
   std::map<std::string, StoredImage> images_;
+  mutable MemoStats memo_stats_;
 };
 
 }  // namespace uparc::region

@@ -147,7 +147,7 @@ void RegionManager::pump() {
 
   if (txn_ != nullptr) {
     dispatch_txn(std::move(job), std::move(result), region,
-                 std::move(instance.value()));
+                 std::move(instance).value());
     return;
   }
 

@@ -8,9 +8,12 @@ namespace uparc::scrub {
 GoldenSignature::GoldenSignature(const std::vector<bits::Frame>& frames) {
   entries_.reserve(frames.size());
   addresses_.reserve(frames.size());
+  crcs_.reserve(frames.size());
   for (const auto& f : frames) {
-    entries_.emplace_back(f.address.linear_index(), crc32_words(f.data));
+    const u32 crc = crc32_words(f.data);
+    entries_.emplace_back(f.address.linear_index(), crc);
     addresses_.push_back(f.address);
+    crcs_.push_back(crc);
   }
   std::sort(entries_.begin(), entries_.end());
 }
@@ -19,9 +22,11 @@ GoldenSignature::GoldenSignature(
     const std::vector<std::pair<bits::FrameAddress, u32>>& pairs) {
   entries_.reserve(pairs.size());
   addresses_.reserve(pairs.size());
+  crcs_.reserve(pairs.size());
   for (const auto& [addr, crc] : pairs) {
     entries_.emplace_back(addr.linear_index(), crc);
     addresses_.push_back(addr);
+    crcs_.push_back(crc);
   }
   std::sort(entries_.begin(), entries_.end());
 }

@@ -30,6 +30,8 @@ class GoldenSignature {
   [[nodiscard]] const std::vector<bits::FrameAddress>& addresses() const noexcept {
     return addresses_;
   }
+  /// Per-frame CRCs in construction order, parallel to addresses().
+  [[nodiscard]] const std::vector<u32>& crcs() const noexcept { return crcs_; }
   /// CRC expected for the frame at `addr`; nullptr if not in the region.
   [[nodiscard]] const u32* expected_crc(const bits::FrameAddress& addr) const;
   /// Sorted (linear index, crc) pairs; two signatures describe the same
@@ -41,6 +43,7 @@ class GoldenSignature {
  private:
   std::vector<std::pair<u32, u32>> entries_;  // (linear index, crc), sorted
   std::vector<bits::FrameAddress> addresses_;
+  std::vector<u32> crcs_;
 };
 
 struct ReadbackReport {

@@ -160,6 +160,8 @@ void FrontEnd::restart_device(int device_index) {
   const Bytes wal_bytes = old.wal->storage().read_all();
   const std::string breaker_snapshot = old.breaker.to_json();
   const u64 loads = old.loads;
+  retired_memo_stats_.hits += old.library.memo_stats().hits;
+  retired_memo_stats_.misses += old.library.memo_stats().misses;
 
   auto fresh = make_device(static_cast<unsigned>(device_index));
   // The fabric keeps its frames across a controller restart — only the
@@ -1000,6 +1002,15 @@ u64 FrontEnd::fault_fires() const {
 u64 FrontEnd::fleet_events_executed() const {
   u64 total = 0;
   for (const auto& d : devices_) total += d->system->sim().events_executed();
+  return total;
+}
+
+region::ModuleLibrary::MemoStats FrontEnd::library_memo_stats() const {
+  region::ModuleLibrary::MemoStats total = retired_memo_stats_;
+  for (const auto& d : devices_) {
+    total.hits += d->library.memo_stats().hits;
+    total.misses += d->library.memo_stats().misses;
+  }
   return total;
 }
 

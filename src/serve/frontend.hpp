@@ -200,6 +200,9 @@ class FrontEnd {
   /// Simulation events executed across the fleet (sum over device
   /// kernels) — the throughput numerator for bench/parallel_fleet.
   [[nodiscard]] u64 fleet_events_executed() const;
+  /// Instance-memo hits and misses summed over every device's library
+  /// (calibration and libraries replaced by the restart drill included).
+  [[nodiscard]] region::ModuleLibrary::MemoStats library_memo_stats() const;
   /// Controller restarts performed by the restart drill this run.
   [[nodiscard]] u64 restarts() const noexcept { return restarts_; }
   /// Health snapshots (txn::HealthTracker::render_json) per device.
@@ -212,6 +215,7 @@ class FrontEnd {
  private:
   struct Device {
     std::unique_ptr<core::System> system;
+    // Per device, never shared: its instance memo is unlocked shard state.
     region::ModuleLibrary library;
     std::unique_ptr<txn::MemWalStorage> wal_store;
     std::unique_ptr<txn::Wal> wal;
@@ -324,6 +328,7 @@ class FrontEnd {
   std::vector<RequestRecord> records_;  ///< indexed by request id
   u64 terminals_ = 0;
   u64 restarts_ = 0;
+  region::ModuleLibrary::MemoStats retired_memo_stats_;  ///< of restarted devices
   std::vector<std::string> violations_;
 
   // Completion hooks installed by run() for closed-loop backpressure.

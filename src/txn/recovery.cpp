@@ -364,7 +364,7 @@ RecoveryReport RecoveryCoordinator::recover(BytesView wal_bytes,
         // the plane (for in-flight, the forward write never landed).
         rr.action = in_flight ? RecoveryAction::kAbortClean : RecoveryAction::kAdopt;
         if (rf.pinned) {
-          system_.uparc().cache_promote(good_image);
+          system_.uparc().cache_promote(good_image, cache::key_of(good_image));
           rr.pinned = true;
         }
       } else {
@@ -381,7 +381,7 @@ RecoveryReport RecoveryCoordinator::recover(BytesView wal_bytes,
         if (reconciled) {
           rr.reconcile_terminal = outcome.terminal;
           if (outcome.terminal == TxnPhase::kRolledBackLastGood && rf.pinned) {
-            system_.uparc().cache_promote(good_image);
+            system_.uparc().cache_promote(good_image, cache::key_of(good_image));
             rr.pinned = true;
           }
           if (outcome.terminal == TxnPhase::kFailed) {

@@ -12,11 +12,10 @@ namespace {
 
 /// Per-frame golden signature of an image as a WAL payload fragment:
 /// [[packed_far, crc32], ...] in frame order.
-void golden_frames_json(std::ostringstream& os, const bits::PartialBitstream& image) {
+void golden_frames_json(std::ostringstream& os, const scrub::GoldenSignature& sig) {
   os << "[";
-  for (std::size_t i = 0; i < image.frames.size(); ++i) {
-    const bits::Frame& f = image.frames[i];
-    os << (i == 0 ? "" : ",") << "[" << f.address.pack() << "," << crc32_words(f.data)
+  for (std::size_t i = 0; i < sig.frame_count(); ++i) {
+    os << (i == 0 ? "" : ",") << "[" << sig.addresses()[i].pack() << "," << sig.crcs()[i]
        << "]";
   }
   os << "]";
@@ -61,7 +60,7 @@ std::string TxnManager::checkpoint_payload() const {
     first = false;
     os << "\"" << obs::json_escape(region) << "\":{\"module\":\""
        << obs::json_escape(last_good_module(region)) << "\",\"frames\":";
-    golden_frames_json(os, image);
+    golden_frames_json(os, scrub::GoldenSignature(image.frames));
     os << "}";
   }
   os << "},\"windows\":{";
@@ -131,7 +130,7 @@ void TxnManager::recover_region(const std::string& region, TxnCallback done) {
   const bits::PartialBitstream* good = last_good(region);
   module_ = good != nullptr ? last_good_module(region) : "<recovery-blank>";
   if (good != nullptr) {
-    image_ = *good;
+    image_ = SignedImage(*good);
     blank_built_ = false;
   } else {
     // No retained module: the ladder goes straight to the safe blank. Seed
@@ -139,7 +138,7 @@ void TxnManager::recover_region(const std::string& region, TxnCallback done) {
     blank_ = make_blank_bitstream(uparc_.config().device, win->second.front(),
                                   win->second.size());
     blank_built_ = true;
-    image_ = blank_;
+    image_ = SignedImage(blank_);
   }
   done_ = std::move(done);
   out_ = TxnOutcome{};
@@ -159,7 +158,7 @@ void TxnManager::recover_region(const std::string& region, TxnCallback done) {
     std::ostringstream gs;
     gs << "{\"txn\":" << txn_id_ << ",\"region\":\"" << obs::json_escape(region_)
        << "\",\"module\":\"" << obs::json_escape(module_) << "\",\"frames\":";
-    golden_frames_json(gs, image_);
+    golden_frames_json(gs, *image_.sig());
     gs << "}";
     wal_->append(WalRecordType::kGolden, gs.str());
   }
@@ -215,7 +214,7 @@ void TxnManager::execute(const std::string& region, const std::string& module,
   busy_ = true;
   region_ = region;
   module_ = module;
-  image_ = image;
+  image_ = SignedImage(image);
   blank_built_ = false;
   done_ = std::move(done);
   out_ = TxnOutcome{};
@@ -229,8 +228,8 @@ void TxnManager::execute(const std::string& region, const std::string& module,
   // rollback (and the consistency invariant) knows the region's extent.
   auto& window = windows_[region_];
   window.clear();
-  window.reserve(image_.frames.size());
-  for (const bits::Frame& f : image_.frames) window.push_back(f.address);
+  window.reserve(image_.bs().frames.size());
+  for (const bits::Frame& f : image_.bs().frames) window.push_back(f.address);
 
   stats().add("txns");
   metrics().counter(name() + ".txns").add();
@@ -245,7 +244,7 @@ void TxnManager::execute(const std::string& region, const std::string& module,
     std::ostringstream gs;
     gs << "{\"txn\":" << txn_id_ << ",\"region\":\"" << obs::json_escape(region_)
        << "\",\"module\":\"" << obs::json_escape(module_) << "\",\"frames\":";
-    golden_frames_json(gs, image_);
+    golden_frames_json(gs, *image_.sig());
     gs << "}";
     wal_->append(WalRecordType::kGolden, gs.str());
   }
@@ -257,11 +256,17 @@ void TxnManager::execute(const std::string& region, const std::string& module,
   start_forward();
 }
 
+TxnManager::SignedImage::SignedImage(bits::PartialBitstream bs)
+    : bs_(std::move(bs)),
+      sig_(std::make_shared<const scrub::GoldenSignature>(bs_.frames)),
+      key_(cache::key_of(bs_, *sig_)) {}
+
 void TxnManager::start_forward() {
   journal_.advance(txn_id_, TxnPhase::kForward);
   wal_phase(TxnPhase::kForward);
   recovery_.policy() = policy_.forward;
-  recovery_.run(image_, [this](const manager::RecoveryOutcome& o) { on_forward(o); });
+  recovery_.run(image_.bs(), image_.key(),
+                [this](const manager::RecoveryOutcome& o) { on_forward(o); });
 }
 
 void TxnManager::on_forward(const manager::RecoveryOutcome& o) {
@@ -277,15 +282,16 @@ void TxnManager::on_forward(const manager::RecoveryOutcome& o) {
     commit();
     return;
   }
-  start_verify(VerifyTarget::kCommit, image_.frames);
+  start_verify(VerifyTarget::kCommit, image_.sig());
 }
 
-void TxnManager::start_verify(VerifyTarget target, const std::vector<bits::Frame>& frames) {
+void TxnManager::start_verify(VerifyTarget target,
+                              std::shared_ptr<const scrub::GoldenSignature> golden) {
   journal_.advance(txn_id_, TxnPhase::kVerify);
   wal_phase(TxnPhase::kVerify);
   ++out_.verify_runs;
   metrics().counter(name() + ".verifies").add();
-  golden_ = std::make_unique<scrub::GoldenSignature>(frames);
+  golden_ = std::move(golden);
   readback_.verify_region(*golden_, [this, target](const scrub::ReadbackReport& report) {
     on_verify(target, report);
   });
@@ -314,11 +320,11 @@ void TxnManager::commit() {
   // from the WAL. A crash *during* the append leaves the record torn and
   // the transaction aborts (the caller never saw a commit).
   wal_phase(TxnPhase::kCommitted);
-  last_good_[region_] = image_;
+  last_good_[region_] = image_.bs();
   last_good_module_[region_] = module_;
   // A verified commit is the strongest freshness signal the cache can get:
   // admit (if the stage predated the cache) and pin the image hot.
-  uparc_.cache_promote(image_);
+  uparc_.cache_promote(image_.bs(), image_.key());
   pinned_.insert(region_);
   if (wal_ != nullptr) {
     std::ostringstream os;
@@ -338,7 +344,7 @@ void TxnManager::rollback_round(std::string reason) {
   // The image failed to program or verify — whatever copy the cache holds
   // must never serve a later stage. Purge before anything else so even a
   // budget-exhausted failure leaves no poisoned entry behind.
-  uparc_.cache_invalidate(image_);
+  uparc_.cache_invalidate(image_.bs(), image_.key());
   if (out_.rollback_rounds >= policy_.max_rollback_rounds) {
     fail("rollback budget exhausted after " + std::to_string(out_.rollback_rounds) +
          " rounds; last: " + reason);
@@ -359,22 +365,27 @@ void TxnManager::rollback_round(std::string reason) {
   const bool use_blank =
       good == nullptr || out_.rollback_rounds > policy_.blank_after_rounds;
   if (use_blank && !blank_built_) {
-    blank_ = make_blank_bitstream(uparc_.config().device, image_.frames.front().address,
-                                  image_.frames.size());
+    blank_ = make_blank_bitstream(uparc_.config().device,
+                                  image_.bs().frames.front().address,
+                                  image_.bs().frames.size());
     blank_built_ = true;
   }
   const bits::PartialBitstream& target = use_blank ? blank_ : *good;
+  // The rollback target is not image_: it gets a signature and key of its
+  // own, shared by its (re)stages and its verify.
+  auto target_sig = std::make_shared<const scrub::GoldenSignature>(target.frames);
   recovery_.policy() = policy_.rollback;
-  recovery_.run(target, [this, use_blank](const manager::RecoveryOutcome& o) {
-    if (!o.success) {
-      rollback_round("rollback re-program failed: " + o.final_result.error);
-      return;
-    }
-    // Never trust an unverified rollback: the invariant is that a rolled-
-    // back region *readback-verifies* as last-good or blank.
-    start_verify(use_blank ? VerifyTarget::kBlank : VerifyTarget::kLastGood,
-                 use_blank ? blank_.frames : last_good_.at(region_).frames);
-  });
+  recovery_.run(target, cache::key_of(target, *target_sig),
+                [this, use_blank, target_sig](const manager::RecoveryOutcome& o) {
+                  if (!o.success) {
+                    rollback_round("rollback re-program failed: " + o.final_result.error);
+                    return;
+                  }
+                  // Never trust an unverified rollback: the invariant is that a
+                  // rolled-back region *readback-verifies* as last-good or blank.
+                  start_verify(use_blank ? VerifyTarget::kBlank : VerifyTarget::kLastGood,
+                               target_sig);
+                });
 }
 
 void TxnManager::finish_rolled_back(VerifyTarget target) {

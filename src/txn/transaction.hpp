@@ -169,11 +169,32 @@ class TxnManager : public sim::Module {
  private:
   enum class VerifyTarget { kCommit, kLastGood, kBlank };
 
+  /// A transaction's image with its per-frame golden signature and raw
+  /// cache key, built together once so they cannot drift apart: the WAL
+  /// golden record, every (re)stage, the commit verify and the cache
+  /// promote/invalidate all reuse them.
+  class SignedImage {
+   public:
+    SignedImage() = default;
+    explicit SignedImage(bits::PartialBitstream bs);
+
+    [[nodiscard]] const bits::PartialBitstream& bs() const noexcept { return bs_; }
+    [[nodiscard]] const std::shared_ptr<const scrub::GoldenSignature>& sig() const noexcept {
+      return sig_;
+    }
+    [[nodiscard]] const cache::CacheKey& key() const noexcept { return key_; }
+
+   private:
+    bits::PartialBitstream bs_;
+    std::shared_ptr<const scrub::GoldenSignature> sig_;
+    cache::CacheKey key_;
+  };
+
   void wal_phase(TxnPhase phase, const std::string& note = "");
   void wal_health();
   void start_forward();
   void on_forward(const manager::RecoveryOutcome& o);
-  void start_verify(VerifyTarget target, const std::vector<bits::Frame>& frames);
+  void start_verify(VerifyTarget target, std::shared_ptr<const scrub::GoldenSignature> golden);
   void on_verify(VerifyTarget target, const scrub::ReadbackReport& report);
   void rollback_round(std::string reason);
   void commit();
@@ -204,12 +225,12 @@ class TxnManager : public sim::Module {
   u64 txn_id_ = 0;
   std::string region_;
   std::string module_;
-  bits::PartialBitstream image_;
+  SignedImage image_;
   bits::PartialBitstream blank_;  ///< built lazily, once per transaction
   bool blank_built_ = false;
   TxnOutcome out_;
   TxnCallback done_;
-  std::unique_ptr<scrub::GoldenSignature> golden_;  ///< outlives the verify
+  std::shared_ptr<const scrub::GoldenSignature> golden_;  ///< outlives the verify
   std::size_t txn_span_ = static_cast<std::size_t>(-1);
 };
 

@@ -51,12 +51,12 @@ TEST(CacheKeyTest, CompressedKeyPinnedToOrigin) {
   auto bs = make_bs(16_KiB, 7);
   auto rel = bits::relocate(bs, bits::FrameAddress{0, 0, 0, 2, 0});
   ASSERT_TRUE(rel.ok());
-  const CacheKey a = key_of_compressed(bs, 3);
-  const CacheKey b = key_of_compressed(rel.value(), 3);
+  const CacheKey a = key_of_compressed(key_of(bs), bs, 3);
+  const CacheKey b = key_of_compressed(key_of(rel.value()), rel.value(), 3);
   EXPECT_NE(a, b);  // the container hides the FAR: location-pinned
   EXPECT_NE(a.kind, 0);
   EXPECT_NE(a.origin_far, b.origin_far);
-  EXPECT_NE(a, key_of_compressed(bs, 4));  // codec id is part of the key
+  EXPECT_NE(a, key_of_compressed(key_of(bs), bs, 4));  // codec id is part of the key
 }
 
 // ----- eviction policies ----------------------------------------------------

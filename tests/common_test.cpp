@@ -1,6 +1,7 @@
 // Unit tests for the support library: units, results, CRC, bit I/O, PRNG.
 #include <gtest/gtest.h>
 
+#include "bitstream/packet.hpp"
 #include "common/bitio.hpp"
 #include "common/crc32.hpp"
 #include "common/hexdump.hpp"
@@ -101,6 +102,116 @@ TEST(Crc32, StreamingEqualsOneShot) {
   c.update(BytesView(data).subspan(0, 400));
   c.update(BytesView(data).subspan(400));
   EXPECT_EQ(c.value(), crc32(data));
+}
+
+// Bitwise reference CRC-32: one bit of the reflected polynomial at a time,
+// no tables. Every table-driven path must agree with it.
+u32 reference_crc(BytesView bytes, u32 state = 0xFFFFFFFFu) {
+  for (u8 b : bytes) {
+    state ^= b;
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1u) ? (0xEDB88320u ^ (state >> 1)) : (state >> 1);
+    }
+  }
+  return ~state;
+}
+
+Bytes random_bytes(Prng& rng, std::size_t n) {
+  Bytes b(n);
+  for (auto& x : b) x = rng.byte();
+  return b;
+}
+
+TEST(Crc32, ReferenceAgreesWithKnownVector) {
+  const char* s = "123456789";
+  EXPECT_EQ(reference_crc(Bytes(s, s + 9)), 0xCBF43926u);
+}
+
+TEST(Crc32, EveryEntryPointMatchesBitwiseReference) {
+  Prng rng(11);
+  for (std::size_t len = 0; len <= 67; ++len) {
+    const Bytes data = random_bytes(rng, len);
+    const u32 want = reference_crc(data);
+    EXPECT_EQ(crc32(data), want) << "len " << len;
+
+    Crc32 bytewise;
+    for (u8 b : data) bytewise.update(b);
+    EXPECT_EQ(bytewise.value(), want) << "len " << len;
+
+    Crc32 span;
+    span.update(BytesView(data));
+    EXPECT_EQ(span.value(), want) << "len " << len;
+
+    // Word paths: the first len/4 words (big-endian) and the same bytes.
+    const std::size_t nwords = len / 4;
+    Words words(nwords);
+    for (std::size_t i = 0; i < nwords; ++i) {
+      words[i] = (u32{data[4 * i]} << 24) | (u32{data[4 * i + 1]} << 16) |
+                 (u32{data[4 * i + 2]} << 8) | u32{data[4 * i + 3]};
+    }
+    const u32 want_words = reference_crc(BytesView(data).subspan(0, 4 * nwords));
+    EXPECT_EQ(crc32_words(words), want_words) << "words " << nwords;
+    Crc32 wordwise;
+    for (u32 w : words) wordwise.update_word(w);
+    EXPECT_EQ(wordwise.value(), want_words) << "words " << nwords;
+  }
+}
+
+TEST(Crc32, UnalignedSubSpansMatchReference) {
+  Prng rng(12);
+  const Bytes data = random_bytes(rng, 96);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; off + len <= data.size(); len += 5) {
+      const BytesView view = BytesView(data).subspan(off, len);
+      EXPECT_EQ(crc32(view), reference_crc(view)) << "off " << off << " len " << len;
+    }
+  }
+  const Words words = {0xDEADBEEFu, 0x01234567u, 0x89ABCDEFu, 0x0u, 0xFFFFFFFFu};
+  for (std::size_t off = 0; off < words.size(); ++off) {
+    const WordsView view = WordsView(words).subspan(off);
+    const Bytes bytes = words_to_bytes(Words(view.begin(), view.end()));
+    EXPECT_EQ(crc32_words(view), reference_crc(bytes)) << "off " << off;
+  }
+}
+
+TEST(Crc32, EverySplitAcrossMixedCallsGivesOneValue) {
+  Prng rng(13);
+  const Bytes data = random_bytes(rng, 40);
+  const u32 want = reference_crc(data);
+  // Split into [0, a) as single bytes, [a, b) as one span, [b, end) as
+  // words where whole words remain and single bytes for the tail.
+  for (std::size_t a = 0; a <= data.size(); ++a) {
+    for (std::size_t b = a; b <= data.size(); ++b) {
+      Crc32 c;
+      for (std::size_t i = 0; i < a; ++i) c.update(data[i]);
+      c.update(BytesView(data).subspan(a, b - a));
+      std::size_t i = b;
+      for (; i + 4 <= data.size(); i += 4) {
+        c.update_word((u32{data[i]} << 24) | (u32{data[i + 1]} << 16) |
+                      (u32{data[i + 2]} << 8) | u32{data[i + 3]});
+      }
+      for (; i < data.size(); ++i) c.update(data[i]);
+      ASSERT_EQ(c.value(), want) << "split " << a << "/" << b;
+    }
+  }
+}
+
+TEST(Crc32, ConfigCrcMatchesReference) {
+  // The bitstream CRC register folds each word then its 5-bit register
+  // address, as bytes: w>>24, w>>16, w>>8, w, reg.
+  Prng rng(14);
+  bits::ConfigCrc crc;
+  Bytes stream;
+  for (int i = 0; i < 50; ++i) {
+    const u32 word = static_cast<u32>(rng.next());
+    const auto reg = static_cast<bits::ConfigReg>(rng.below(32));
+    crc.write(reg, word);
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      stream.push_back(static_cast<u8>(word >> shift));
+    }
+    stream.push_back(static_cast<u8>(static_cast<u32>(reg) & 0x1Fu));
+    ASSERT_EQ(crc.value(), reference_crc(stream)) << "write " << i;
+  }
 }
 
 TEST(Types, WordPackingRoundTrip) {

@@ -69,6 +69,26 @@ TEST(Ddr2, ReadReturnsStoredData) {
   EXPECT_EQ(out, data);
 }
 
+TEST(Ddr2, NeverLoadedWordsReadZeroUpToTheConfiguredSize) {
+  sim::Simulation sim;
+  Ddr2 ddr(sim, "ddr", 64_KiB);
+  EXPECT_EQ(ddr.size_bytes(), 64_KiB);
+  const Words data = {7, 8, 9};
+  ddr.load_words(data, 10);
+  Words out;
+  (void)ddr.read_burst(8, 8, out);  // straddles the loaded words on both sides
+  EXPECT_EQ(out, (Words{0, 0, 7, 8, 9, 0, 0, 0}));
+  // The last word is addressable; one past it is not.
+  const std::size_t last = ddr.size_words() - 1;
+  ddr.load_words(Words{5}, last);
+  out.clear();
+  (void)ddr.read_burst(last - 1, 2, out);
+  EXPECT_EQ(out, (Words{0, 5}));
+  EXPECT_THROW(ddr.load_words(Words{1, 2}, last), std::out_of_range);
+  EXPECT_THROW((void)ddr.read_burst(last, 2, out), std::out_of_range);
+  EXPECT_EQ(ddr.size_bytes(), 64_KiB);
+}
+
 TEST(Ddr2, SequentialSlowerThanBram) {
   sim::Simulation sim;
   Ddr2 ddr(sim, "ddr", 1_MiB);

@@ -112,6 +112,106 @@ TEST(ModuleLibraryTest, InstantiateRejectsOversizedModule) {
   EXPECT_FALSE(lib.instantiate("big", fp, *fp.find("tiny")).ok());
 }
 
+void expect_same_instance(const bits::PartialBitstream& got,
+                          const bits::PartialBitstream& want) {
+  EXPECT_EQ(got.body, want.body);
+  EXPECT_EQ(got.fdri_offset, want.fdri_offset);
+  EXPECT_EQ(got.fdri_words, want.fdri_words);
+  EXPECT_EQ(got.header.body_bytes, want.header.body_bytes);
+  ASSERT_EQ(got.frames.size(), want.frames.size());
+  for (std::size_t i = 0; i < got.frames.size(); ++i) {
+    EXPECT_EQ(got.frames[i].address, want.frames[i].address) << "frame " << i;
+    EXPECT_EQ(got.frames[i].data, want.frames[i].data) << "frame " << i;
+  }
+}
+
+TEST(ModuleLibraryMemo, HitEqualsFreshInstantiate) {
+  Floorplan fp(bits::kVirtex5Sx50t);
+  ASSERT_TRUE(fp.add_region("a", {bits::FrameAddress{0, 0, 1, 10, 0}, 512}).ok());
+  ASSERT_TRUE(fp.add_region("b", {bits::FrameAddress{0, 0, 3, 40, 0}, 512}).ok());
+  ModuleLibrary memo;
+  const std::vector<std::pair<std::string, bits::PartialBitstream>> modules = {
+      {"fft", make_bs(32_KiB, 5)}, {"fir", make_bs(24_KiB, 6)}, {"aes", make_bs(8_KiB, 7)}};
+  for (const auto& [name, bs] : modules) ASSERT_TRUE(memo.add_module(name, bs).ok());
+
+  for (int round = 0; round < 2; ++round) {  // round 0 fills the memo, 1 hits it
+    for (const auto& [name, bs] : modules) {
+      for (const char* region : {"a", "b"}) {
+        ModuleLibrary fresh;
+        ASSERT_TRUE(fresh.add_module(name, bs).ok());
+        auto want = fresh.instantiate(name, fp, *fp.find(region));
+        auto got = memo.instantiate(name, fp, *fp.find(region));
+        ASSERT_TRUE(want.ok()) << want.error().message;
+        ASSERT_TRUE(got.ok()) << got.error().message;
+        SCOPED_TRACE(name + " @ " + region + " round " + std::to_string(round));
+        expect_same_instance(got.value(), want.value());
+      }
+    }
+  }
+  // One miss per (module, origin), every repeat a hit.
+  EXPECT_EQ(memo.memo_stats().misses, 6u);
+  EXPECT_EQ(memo.memo_stats().hits, 6u);
+}
+
+TEST(ModuleLibraryMemo, FitIsCheckedOnEveryHit) {
+  // Same origin, different window sizes: the memo holds the instance, the
+  // fit depends on the region asked for.
+  const bits::FrameAddress origin{0, 0, 3, 40, 0};
+  Floorplan big(bits::kVirtex5Sx50t);
+  ASSERT_TRUE(big.add_region("slot", {origin, 512}).ok());
+  Floorplan small(bits::kVirtex5Sx50t);
+  ASSERT_TRUE(small.add_region("slot", {origin, 8}).ok());
+
+  ModuleLibrary lib;
+  ASSERT_TRUE(lib.add_module("big", make_bs(32_KiB, 5)).ok());
+  ASSERT_TRUE(lib.instantiate("big", big, *big.find("slot")).ok());
+  EXPECT_FALSE(lib.instantiate("big", small, *small.find("slot")).ok());
+  EXPECT_TRUE(lib.instantiate("big", big, *big.find("slot")).ok());
+  EXPECT_EQ(lib.memo_stats().misses, 1u);
+  EXPECT_EQ(lib.memo_stats().hits, 2u);  // the refused fit was a memo hit
+}
+
+TEST(ModuleLibraryMemo, EditingAReturnedInstanceDoesNotPoisonTheMemo) {
+  Floorplan fp(bits::kVirtex5Sx50t);
+  ASSERT_TRUE(fp.add_region("slot", {bits::FrameAddress{0, 0, 3, 40, 0}, 512}).ok());
+  ModuleLibrary lib;
+  ASSERT_TRUE(lib.add_module("fft", make_bs(32_KiB, 5)).ok());
+
+  auto got = lib.instantiate("fft", fp, *fp.find("slot"));
+  ASSERT_TRUE(got.ok());
+  const bits::PartialBitstream pristine = got.value();
+  bits::PartialBitstream first = std::move(got).value();
+  for (auto& f : first.frames) f.data.assign(f.data.size(), 0xDEADBEEFu);
+  first.body.assign(first.body.size(), 0u);
+
+  auto second = lib.instantiate("fft", fp, *fp.find("slot"));
+  ASSERT_TRUE(second.ok());
+  expect_same_instance(second.value(), pristine);
+}
+
+TEST(ModuleLibraryMemo, UnknownModuleIsAnErrorAndNotMemoized) {
+  Floorplan fp(bits::kVirtex5Sx50t);
+  ASSERT_TRUE(fp.add_region("slot", {bits::FrameAddress{0, 0, 3, 40, 0}, 512}).ok());
+  ModuleLibrary lib;
+  for (int i = 0; i < 2; ++i) {
+    auto missing = lib.instantiate("nope", fp, *fp.find("slot"));
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.error().message, "unknown module: nope");
+  }
+  EXPECT_FALSE(lib.has("nope"));
+  EXPECT_EQ(lib.size(), 0u);
+  EXPECT_EQ(lib.memo_stats().hits + lib.memo_stats().misses, 0u);
+  // A module added afterwards instantiates normally under that name.
+  const auto bs = make_bs(8_KiB, 7);
+  ASSERT_TRUE(lib.add_module("nope", bs).ok());
+  ModuleLibrary fresh;
+  ASSERT_TRUE(fresh.add_module("nope", bs).ok());
+  auto got = lib.instantiate("nope", fp, *fp.find("slot"));
+  auto want = fresh.instantiate("nope", fp, *fp.find("slot"));
+  ASSERT_TRUE(got.ok() && want.ok());
+  expect_same_instance(got.value(), want.value());
+}
+
 class RegionManagerFixture : public ::testing::Test {
  protected:
   RegionManagerFixture() {

@@ -321,5 +321,44 @@ TEST(ServeSoakTest, RestartDrillRecoversControllersMidSoak) {
   EXPECT_EQ(again.sim_ms, report.sim_ms);
 }
 
+// The instance memo counts hits and misses per device library; the fleet
+// total keeps the counts of libraries the restart drill replaced, whose
+// cold successors miss again.
+TEST(ServeSoakTest, LibraryMemoStatsSurviveTheRestartDrill) {
+  ServeSoakConfig cfg;
+  cfg.seed = 11;
+  cfg.devices = 2;
+  cfg.load_factor = 1.5;
+  FrontEndConfig fc;
+  fc.seed = cfg.seed;
+  fc.devices = cfg.devices;
+  fc.modules = cfg.modules;
+  fc.fault_scale = 0.0;
+  fc.restart_after_loads = 15;
+  FrontEnd fe(fc);
+  const region::ModuleLibrary::MemoStats calibrated = fe.library_memo_stats();
+  EXPECT_GT(calibrated.misses, 0u);
+
+  WorkloadGenerator gen(make_tenants(cfg, fe.rated_rps(), fe.warm_cost()), cfg.modules,
+                        cfg.seed);
+  fe.run(gen, 200);
+  ASSERT_EQ(fe.restarts(), 2u);
+  const region::ModuleLibrary::MemoStats served = fe.library_memo_stats();
+  EXPECT_GT(served.hits, calibrated.hits);
+  EXPECT_GT(served.misses, calibrated.misses);
+
+  // Without faults every dispatch instantiates once (the restart drill's
+  // recovery adds calls of its own), so no replaced library's count is lost.
+  u64 dispatches = 0;
+  for (const QosClass c : {QosClass::kGuaranteed, QosClass::kStandard, QosClass::kBestEffort}) {
+    dispatches += fe.metrics()
+                      .histogram(std::string("serve.queue_wait_us.") + to_string(c),
+                                 obs::Histogram::latency_bounds_us())
+                      .count();
+  }
+  EXPECT_GT(dispatches, 30u);  // both devices crossed the 15-load drill quota
+  EXPECT_GE(served.hits + served.misses - calibrated.hits - calibrated.misses, dispatches);
+}
+
 }  // namespace
 }  // namespace uparc::serve

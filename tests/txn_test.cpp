@@ -260,6 +260,117 @@ TEST_F(TxnFixture, ThrowsWhileBusyAndOnEmptyImage) {
   EXPECT_FALSE(txn->busy());
 }
 
+/// One transaction builds its image's per-frame CRCs once; everything that
+/// consumes them must still equal the free functions on a fresh signature.
+class OneSignatureFixture : public ::testing::Test {
+ protected:
+  OneSignatureFixture()
+      : sys(with_cache()),
+        txn(sys.sim(), "txn", sys.uparc(), sys.icap(), sys.rail()),
+        wal(sys.sim(), "wal", store) {
+    txn.set_wal(&wal);
+  }
+
+  static core::SystemConfig with_cache() {
+    core::SystemConfig cfg;
+    cfg.with_cache = true;
+    return cfg;
+  }
+
+  TxnOutcome run(const std::string& module, const bits::PartialBitstream& image,
+                 TxnPolicy policy = {}) {
+    txn.policy() = policy;
+    std::optional<TxnOutcome> got;
+    txn.execute("r0", module, image, [&](const TxnOutcome& o) { got = o; });
+    sys.sim().run();
+    EXPECT_TRUE(got.has_value());
+    return *got;
+  }
+
+  /// The kGolden payload the WAL must hold for `image`, built from a fresh
+  /// GoldenSignature and checked frame by frame against crc32_words.
+  static std::string expected_golden(u64 txn_id, const std::string& module,
+                                     const bits::PartialBitstream& image) {
+    const scrub::GoldenSignature fresh(image.frames);
+    std::string out = "{\"txn\":" + std::to_string(txn_id) +
+                      ",\"region\":\"r0\",\"module\":\"" + module + "\",\"frames\":[";
+    for (std::size_t i = 0; i < image.frames.size(); ++i) {
+      const bits::Frame& f = image.frames[i];
+      EXPECT_EQ(fresh.crcs()[i], crc32_words(f.data));
+      EXPECT_EQ(*fresh.expected_crc(f.address), crc32_words(f.data));
+      out += (i == 0 ? "[" : ",[") + std::to_string(f.address.pack()) + "," +
+             std::to_string(fresh.crcs()[i]) + "]";
+    }
+    return out + "]}";
+  }
+
+  std::vector<std::string> golden_payloads() const {
+    std::vector<std::string> out;
+    for (const WalScanRecord& r : scan_wal(store.read_all()).records) {
+      if (r.type == WalRecordType::kGolden) out.push_back(r.payload);
+    }
+    return out;
+  }
+
+  core::System sys;
+  TxnManager txn;
+  MemWalStorage store;
+  Wal wal;
+};
+
+TEST_F(OneSignatureFixture, CommitKeysWalAndPromoteMatchFreshSignature) {
+  const auto image = make_bs(16_KiB, 3);
+  const cache::CacheKey key = cache::key_of(image);
+  EXPECT_EQ(cache::key_of(image, scrub::GoldenSignature(image.frames)), key);
+
+  const TxnOutcome out = run("fft", image);
+  ASSERT_EQ(out.terminal, TxnPhase::kCommitted) << out.error;
+  // The stage admitted the image under key_of(image) and the commit promoted
+  // that same entry: a different promote key would have admitted a second.
+  cache::BitstreamCache* c = sys.cache();
+  ASSERT_NE(c, nullptr);
+  EXPECT_TRUE(c->contains(key));
+  EXPECT_EQ(c->entry_count(), 1u);
+  EXPECT_EQ(c->hot_count(), 1u);
+  EXPECT_EQ(golden_payloads(), std::vector<std::string>{expected_golden(1, "fft", image)});
+
+  // Re-staging the same image finds it under the same key.
+  const TxnOutcome again = run("fft", image);
+  ASSERT_EQ(again.terminal, TxnPhase::kCommitted) << again.error;
+  EXPECT_TRUE(cache::is_hit(again.stage_cache_tier));
+  EXPECT_EQ(c->entry_count(), 1u);
+}
+
+TEST_F(OneSignatureFixture, RollbackPurgesTheImageKeyAndVerifiesLastGood) {
+  const auto good = make_bs(16_KiB, 3);
+  ASSERT_EQ(run("fft", good).terminal, TxnPhase::kCommitted);
+
+  fault::FaultInjector inj(sys.sim(), "inj", abort_plan(2, 9, 500));
+  inj.arm(sys.uparc(), sys.icap());
+  const auto bad = make_bs(16_KiB, 4);
+  const TxnOutcome out = run("fir", bad, tight_forward_policy());
+  ASSERT_EQ(out.terminal, TxnPhase::kRolledBackLastGood) << out.error;
+  EXPECT_GE(out.verify_runs, 1u);
+  EXPECT_TRUE(sys.plane().contains(good.frames));
+  EXPECT_TRUE(txn.region_consistent("r0", sys.plane()));
+  // The failed image's key is purged; the last-good entry survives.
+  EXPECT_FALSE(sys.cache()->contains(cache::key_of(bad)));
+  EXPECT_TRUE(sys.cache()->contains(cache::key_of(good)));
+  EXPECT_EQ(golden_payloads(), (std::vector<std::string>{expected_golden(1, "fft", good),
+                                                          expected_golden(2, "fir", bad)}));
+}
+
+TEST_F(OneSignatureFixture, RollbackWithoutLastGoodVerifiesBlank) {
+  fault::FaultInjector inj(sys.sim(), "inj", abort_plan(2));
+  inj.arm(sys.uparc(), sys.icap());
+  const auto image = make_bs(16_KiB, 5);
+  const TxnOutcome out = run("fft", image, tight_forward_policy());
+  ASSERT_EQ(out.terminal, TxnPhase::kRolledBackBlank) << out.error;
+  EXPECT_TRUE(txn.region_consistent("r0", sys.plane()));
+  EXPECT_FALSE(sys.cache()->contains(cache::key_of(image)));
+  EXPECT_EQ(golden_payloads(), std::vector<std::string>{expected_golden(1, "fft", image)});
+}
+
 class RoutedRegionFixture : public ::testing::Test {
  protected:
   RoutedRegionFixture() {
